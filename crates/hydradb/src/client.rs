@@ -5,8 +5,8 @@
 //! a request buffer on the server's node and a response buffer on its own
 //! node, both written one-sidedly and detected by polling (§4.2.1). GETs of
 //! previously accessed keys take the fast path: the remote pointer returned
-//! by the first access is cached (privately, or in the node-wide lock-free
-//! shared cache of §4.2.4) and, while its lease holds, later GETs fetch the
+//! by the first access is cached (privately, or in the node-wide shared
+//! CLOCK cache of §4.2.4) and, while its lease holds, later GETs fetch the
 //! item directly with a one-sided RDMA Read and validate it against the
 //! guardian word — falling back to the message path when the item was
 //! updated underneath (§4.2.3).

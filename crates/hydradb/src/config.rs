@@ -172,8 +172,6 @@ pub struct CostModel {
     pub recv_cpu_ns: SimTime,
     /// Client-side processing per completed operation.
     pub client_ns: SimTime,
-    /// Penalty per op when shard memory lands on a remote NUMA node.
-    pub numa_remote_ns: SimTime,
     /// CPU cost to build one send/write WQE and ring the doorbell when
     /// posting a response. Charged per response on the singleton path and
     /// once per frame on the batched path (one WQE carries the whole
@@ -219,7 +217,6 @@ impl Default for CostModel {
             sync_ns: 400,
             recv_cpu_ns: 500,
             client_ns: 150,
-            numa_remote_ns: 320,
             post_wqe_ns: 0,
             batch_probe_factor: 0.85,
             batch_write_factor: 0.7,
@@ -316,15 +313,10 @@ pub struct ClusterConfig {
     pub aimd: AimdConfig,
     /// Virtual nodes per shard on the consistent-hash ring.
     pub vnodes: u32,
-    /// Whether shards allocate NUMA-locally (§4.1.2); `false` models the
-    /// naive placement for the ablation.
-    pub numa_aware: bool,
     /// Minimum lease term (paper: 1 s).
     pub min_lease_ns: SimTime,
     /// Maximum lease term (paper: 64 s).
     pub max_lease_ns: SimTime,
-    /// Interval between shard reclamation pumps.
-    pub reclaim_interval_ns: SimTime,
     /// Poll-loop sleep backoff (§4.2.1's 100 ns high-resolution sleep);
     /// `None` burns the core busy-polling.
     pub sleep_backoff_ns: Option<SimTime>,
@@ -333,9 +325,6 @@ pub struct ClusterConfig {
     pub transport: Transport,
     /// Client-side response timeout per attempt (drives fail-over).
     pub op_timeout_ns: SimTime,
-    /// When set, clients periodically renew leases of soon-expiring cached
-    /// pointers (§4.2.3).
-    pub lease_renew_interval_ns: Option<SimTime>,
     /// Replication ring words per secondary.
     pub repl_ring_words: usize,
     /// Heartbeat period for shard/SWAT coordination sessions.
@@ -418,14 +407,11 @@ impl Default for ClusterConfig {
             throughput_lane_quantum_ns: 4_000,
             aimd: AimdConfig::default(),
             vnodes: 64,
-            numa_aware: true,
             min_lease_ns: 1_000_000_000,
             max_lease_ns: 64_000_000_000,
-            reclaim_interval_ns: 100 * MS,
             sleep_backoff_ns: Some(100),
             transport: Transport::Rdma,
             op_timeout_ns: 10 * MS,
-            lease_renew_interval_ns: None,
             repl_ring_words: 1 << 16,
             ha_heartbeat_ns: 5 * MS,
             ha_tick_ns: 10 * MS,

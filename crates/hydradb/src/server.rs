@@ -902,25 +902,21 @@ impl ShardServer {
         }
     }
 
-    /// Per-op NUMA and receive-queue surcharges, per the cost model.
-    fn surcharges(&self, send_recv: bool) -> SimTime {
-        let c = &self.cfg.costs;
-        let numa = if self.cfg.numa_aware {
-            0
+    /// Per-op receive-queue surcharge: two-sided transports make the server
+    /// CPU shepherd every message through the receive queue (§4.2.1 / HERD).
+    fn recv_surcharge(&self, send_recv: bool) -> SimTime {
+        if send_recv {
+            self.cfg.costs.recv_cpu_ns
         } else {
-            c.numa_remote_ns
-        };
-        // Two-sided transports make the server CPU shepherd every message
-        // through the receive queue (§4.2.1 / HERD).
-        let recv = if send_recv { c.recv_cpu_ns } else { 0 };
-        numa + recv
+            0
+        }
     }
 
     /// CPU-cost of serving `req` on the singleton path: the op itself plus
     /// one polling-sweep step and one response verb post.
     fn op_cost(&self, req: &Request<'_>, send_recv: bool) -> SimTime {
         let c = &self.cfg.costs;
-        self.base_cost(req) + c.poll_ns + c.post_wqe_ns + self.surcharges(send_recv)
+        self.base_cost(req) + c.poll_ns + c.post_wqe_ns + self.recv_surcharge(send_recv)
     }
 
     /// CPU-cost of one request executed inside a batch quantum. The fixed
@@ -939,7 +935,7 @@ impl ShardServer {
             }
             _ => self.base_cost(req),
         };
-        base + self.surcharges(send_recv)
+        base + self.recv_surcharge(send_recv)
     }
 
     /// Entry point for RDMA-Write mode: a request frame has landed in
@@ -1458,59 +1454,20 @@ impl ShardServer {
             return;
         }
         let allowance = r.yield_items.unwrap_or(0).min(task.remaining);
-        let engine_rc = s.engine.clone();
-        let mig = s.mig.clone();
-        let mut scratch = std::mem::take(&mut s.get_scratch);
-        let mut count = 0u32;
-        let mut last_key: Vec<u8> = Vec::new();
-        let buf = &mut task.buf;
-        let exhausted = engine_rc
-            .borrow_mut()
-            .scan_into(&task.cursor, &mut scratch, |k, v| {
-                if count == allowance {
-                    return false;
-                }
-                if mig.as_ref().is_some_and(|m| !m.borrow().owns(k)) {
-                    return true; // not ours under the live ring: skip
-                }
-                scan_items_push(buf, k, v);
-                last_key.clear();
-                last_key.extend_from_slice(k);
-                count += 1;
-                true
-            });
-        s.get_scratch = scratch;
-        task.served += count;
-        task.remaining -= count;
-        let chunk = s.cfg.scan_chunk_items.max(1) as u64;
-        s.stats.scan_chunks += (count as u64).div_ceil(chunk).max(1);
-        if exhausted {
+        match s.run_scan_quantum(sim.now(), &mut task, allowance, true) {
             // The range drained inside the covered chunks: the scan is
             // complete and the freed tail already serves the latency lane.
-            let now = sim.now();
-            scan_items_finish(&mut task.buf, false, task.served);
-            s.stats.scans += 1;
-            s.stats.service_time_hist_by_op[5][log2_bucket(now.saturating_sub(task.arrived))] += 1;
-            let mut resp = Vec::new();
-            Response {
-                status: Status::Ok,
-                req_id: task.req_id,
-                value: &task.buf,
-                rptr: RemotePtr::none(),
-                lease_expiry: 0,
-                replicas: None,
+            Some(resp) => {
+                let conn_idx = task.conn_idx;
+                drop(s);
+                Self::send_response(this, sim, conn_idx, resp);
             }
-            .encode_into(&mut resp);
-            let conn_idx = task.conn_idx;
-            drop(s);
-            Self::send_response(this, sim, conn_idx, resp);
-        } else {
-            last_key.push(0);
-            task.cursor = last_key;
-            let c = &s.cfg.costs;
-            let cost = c.scan_resume_ns + task.remaining as SimTime * c.scan_item_ns;
-            s.sched.push_front(THR, LaneTask::Scan(task), cost);
-            drop(s);
+            None => {
+                let c = &s.cfg.costs;
+                let cost = c.scan_resume_ns + task.remaining as SimTime * c.scan_item_ns;
+                s.sched.push_front(THR, LaneTask::Scan(task), cost);
+                drop(s);
+            }
         }
         Self::pump(this, sim);
     }
@@ -1525,47 +1482,78 @@ impl ShardServer {
             if !s.alive {
                 return;
             }
-            let now = sim.now();
-            let engine_rc = s.engine.clone();
-            let mig = s.mig.clone();
-            let mut scratch = std::mem::take(&mut s.get_scratch);
             let allowance = task.remaining;
-            let mut count = 0u32;
-            let buf = &mut task.buf;
-            let exhausted = engine_rc
-                .borrow_mut()
-                .scan_into(&task.cursor, &mut scratch, |k, v| {
-                    if count == allowance {
-                        return false;
-                    }
-                    if mig.as_ref().is_some_and(|m| !m.borrow().owns(k)) {
-                        return true; // not ours under the live ring: skip
-                    }
-                    scan_items_push(buf, k, v);
-                    count += 1;
-                    true
-                });
-            s.get_scratch = scratch;
-            let total = task.served + count;
-            scan_items_finish(&mut task.buf, !exhausted, total);
-            let chunk = s.cfg.scan_chunk_items.max(1) as u64;
-            s.stats.scan_chunks += (count as u64).div_ceil(chunk).max(1);
-            s.stats.scans += 1;
-            s.stats.service_time_hist_by_op[5][log2_bucket(now.saturating_sub(task.arrived))] += 1;
-            let mut resp = Vec::new();
-            Response {
-                status: Status::Ok,
-                req_id: task.req_id,
-                value: &task.buf,
-                rptr: RemotePtr::none(),
-                lease_expiry: 0,
-                replicas: None,
-            }
-            .encode_into(&mut resp);
+            let resp = s
+                .run_scan_quantum(sim.now(), &mut task, allowance, false)
+                .expect("a non-yielding quantum always completes its scan");
             (task.conn_idx, resp)
         };
         Self::maybe_schedule_reclaim(this, sim);
         Self::send_response(this, sim, conn_idx, resp);
+    }
+
+    /// Executes one dual-lane scan quantum: packs up to `allowance` items
+    /// from `task`'s cursor into its response buffer (skipping keys the
+    /// live ring no longer assigns here), advances `served`/`remaining` and
+    /// counts the chunks covered. A `yielding` quantum that did not drain
+    /// the range moves the cursor just past its last packed key and returns
+    /// `None` so the remainder can re-queue. Otherwise the scan completes:
+    /// its frame is sealed with `more` set iff the range did not drain, and
+    /// the encoded `Ok` response is returned.
+    fn run_scan_quantum(
+        &mut self,
+        now: SimTime,
+        task: &mut ScanTask,
+        allowance: u32,
+        yielding: bool,
+    ) -> Option<Vec<u8>> {
+        let engine_rc = self.engine.clone();
+        let mig = self.mig.clone();
+        let mut scratch = std::mem::take(&mut self.get_scratch);
+        let mut count = 0u32;
+        let mut last_key: Vec<u8> = Vec::new();
+        let buf = &mut task.buf;
+        let exhausted = engine_rc
+            .borrow_mut()
+            .scan_into(&task.cursor, &mut scratch, |k, v| {
+                if count == allowance {
+                    return false;
+                }
+                if mig.as_ref().is_some_and(|m| !m.borrow().owns(k)) {
+                    return true; // not ours under the live ring: skip
+                }
+                scan_items_push(buf, k, v);
+                if yielding {
+                    last_key.clear();
+                    last_key.extend_from_slice(k);
+                }
+                count += 1;
+                true
+            });
+        self.get_scratch = scratch;
+        task.served += count;
+        task.remaining -= count;
+        let chunk = self.cfg.scan_chunk_items.max(1) as u64;
+        self.stats.scan_chunks += (count as u64).div_ceil(chunk).max(1);
+        if yielding && !exhausted {
+            last_key.push(0);
+            task.cursor = last_key;
+            return None;
+        }
+        scan_items_finish(&mut task.buf, !exhausted, task.served);
+        self.stats.scans += 1;
+        self.stats.service_time_hist_by_op[5][log2_bucket(now.saturating_sub(task.arrived))] += 1;
+        let mut resp = Vec::new();
+        Response {
+            status: Status::Ok,
+            req_id: task.req_id,
+            value: &task.buf,
+            rptr: RemotePtr::none(),
+            lease_expiry: 0,
+            replicas: None,
+        }
+        .encode_into(&mut resp);
+        Some(resp)
     }
 
     /// A batch frame landed: charge the whole quantum against the shard

@@ -163,7 +163,11 @@ fn preempted_scans_return_byte_identical_results() {
         format!("wide-key-{k:04}").into_bytes()
     }
 
-    fn run(scheduler: SchedulerKind) -> (Vec<String>, Vec<String>, SimTime, u64) {
+    /// Per-run server counters summed over shards: (scan_preemptions,
+    /// scans, scan_chunks).
+    type ScanCounts = (u64, u64, u64);
+
+    fn run(scheduler: SchedulerKind) -> (Vec<String>, Vec<String>, SimTime, ScanCounts) {
         let mut cluster = cluster_with(scheduler, |cfg| {
             // Message-path GETs only, so every point op actually crosses the
             // shard core and contends with the scans.
@@ -241,19 +245,22 @@ fn preempted_scans_return_byte_identical_results() {
         );
         cluster.sim.run();
         assert!(done.get(), "point chain did not complete");
-        let preemptions: u64 = (0..cluster.cfg.total_shards())
-            .map(|p| cluster.shard(p).primary.borrow().stats().scan_preemptions)
-            .sum();
+        let counts = (0..cluster.cfg.total_shards())
+            .map(|p| cluster.shard(p).primary.borrow().stats())
+            .fold((0, 0, 0), |(p, s, c), st| {
+                (p + st.scan_preemptions, s + st.scans, c + st.scan_chunks)
+            });
         (
             Rc::try_unwrap(scans).unwrap().into_inner(),
             Rc::try_unwrap(gets).unwrap().into_inner(),
             worst_get.get(),
-            preemptions,
+            counts,
         )
     }
 
-    let (fifo_scans, fifo_gets, fifo_worst, fifo_preempt) = run(SchedulerKind::Fifo);
-    let (dual_scans, dual_gets, dual_worst, dual_preempt) = run(SchedulerKind::DualLane);
+    let (fifo_scans, fifo_gets, fifo_worst, (fifo_preempt, _, _)) = run(SchedulerKind::Fifo);
+    let (dual_scans, dual_gets, dual_worst, (dual_preempt, dual_scan_count, dual_chunks)) =
+        run(SchedulerKind::DualLane);
 
     assert_eq!(fifo_scans, dual_scans, "scan payloads must be byte-equal");
     assert_eq!(fifo_gets, dual_gets, "GET values must be byte-equal");
@@ -266,5 +273,18 @@ fn preempted_scans_return_byte_identical_results() {
         dual_worst < fifo_worst,
         "preemption must shorten the worst point latency \
          (dual {dual_worst} ns vs fifo {fifo_worst} ns)"
+    );
+    // Chunk accounting: every server scan covers at least one chunk, and each
+    // preemption splits a scan into one more chunk run.
+    assert!(
+        dual_chunks >= dual_scan_count + dual_preempt,
+        "scan_chunks {dual_chunks} < scans {dual_scan_count} + preemptions {dual_preempt}"
+    );
+    // Exact values: any change to chunk accounting (which the repository
+    // benchmark reads as `server.scan_chunks_per_scan`) must show up here.
+    assert_eq!(
+        (dual_preempt, dual_scan_count, dual_chunks),
+        (24, 24, 156),
+        "DualLane (scan_preemptions, scans, scan_chunks)"
     );
 }
