@@ -15,7 +15,7 @@
 //! loses when the NIC already moves the data.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -760,8 +760,9 @@ pub struct ShardServer {
     pub alive: bool,
     fab: Fabric,
     stats: ServerStats,
-    /// Earliest scheduled reclamation event, if any (lazy GC scheduling).
-    reclaim_scheduled_at: Option<SimTime>,
+    /// Instants with an armed reclamation pump, at most one pump each (lazy
+    /// GC scheduling).
+    reclaim_armed: BTreeSet<SimTime>,
     /// Reused GET value buffer — steady-state GETs allocate nothing for the
     /// value copy.
     get_scratch: Vec<u8>,
@@ -827,7 +828,7 @@ impl ShardServer {
             alive: true,
             fab: fab.clone(),
             stats: ServerStats::default(),
-            reclaim_scheduled_at: None,
+            reclaim_armed: BTreeSet::new(),
             get_scratch: Vec::new(),
             scan_scratch: Vec::new(),
             resp_batch: BatchBuilder::new(),
@@ -1948,26 +1949,32 @@ impl ShardServer {
     /// Arms the background-reclamation event for the earliest pending lease
     /// expiry. The paper uses a background thread; the event-driven pump has
     /// identical semantics and terminates when the queue drains.
+    ///
+    /// A pump already armed at or before that expiry covers it, so none is
+    /// added. An earlier expiry still arms its own pump and the later one
+    /// stays armed; when the earlier pump fires it re-arms only if no armed
+    /// pump covers the next expiry. Each instant thus holds at most one
+    /// pump, and chains merge instead of multiplying.
     fn maybe_schedule_reclaim(this: &Rc<RefCell<ShardServer>>, sim: &mut Sim) {
         let at = {
-            let s = this.borrow();
+            let mut s = this.borrow_mut();
             let Some(t) = s.engine.borrow().next_reclaim_at() else {
                 return;
             };
             let at = t.max(sim.now());
-            if s.reclaim_scheduled_at.is_some_and(|cur| cur <= at) {
+            if s.reclaim_armed.range(..=at).next().is_some() {
                 return; // an earlier (or equal) pump is already armed
             }
+            s.reclaim_armed.insert(at);
             at
         };
-        this.borrow_mut().reclaim_scheduled_at = Some(at);
         let this2 = this.clone();
         sim.schedule_at(at, move |sim| {
             {
-                let s = this2.borrow_mut();
+                let mut s = this2.borrow_mut();
+                s.reclaim_armed.remove(&at);
                 s.engine.borrow_mut().pump_reclaim(sim.now());
             }
-            this2.borrow_mut().reclaim_scheduled_at = None;
             Self::maybe_schedule_reclaim(&this2, sim);
         });
     }
@@ -2095,6 +2102,37 @@ mod tests {
             ..ClusterConfig::default()
         };
         assert_eq!(scan_quantum_items(&tight), 1);
+    }
+
+    /// Retiring blocks with decreasing expiries arms an earlier pump each
+    /// time. The chains must merge: draining an idle shard runs exactly one
+    /// pump per distinct expiry, and every block is freed.
+    #[test]
+    fn reclaim_pumps_merge_into_one_per_expiry() {
+        let cfg = Rc::new(ClusterConfig::default());
+        let mut sim = Sim::new(cfg.seed);
+        let fab = Fabric::new(cfg.fabric.clone());
+        let node = fab.add_node();
+        let srv = ShardServer::new(ShardId(0), node, &fab, cfg.clone());
+        let engine = srv.borrow().engine.clone();
+        let keys: Vec<Vec<u8>> = (0..4).map(|i| format!("rk{i}").into_bytes()).collect();
+        for (i, key) in keys.iter().enumerate() {
+            engine.borrow_mut().insert(0, key, b"v").unwrap();
+            // A GET leases the item until `now + min_lease_ns`.
+            engine.borrow_mut().get(i as SimTime * 1_000, key).unwrap();
+        }
+        // Latest lease first: every retire arms a pump earlier than the last.
+        for key in keys.iter().rev() {
+            engine.borrow_mut().delete(10_000, key).unwrap();
+            ShardServer::maybe_schedule_reclaim(&srv, &mut sim);
+        }
+        let before = sim.executed_events();
+        sim.run();
+        assert_eq!(sim.executed_events() - before, keys.len() as u64);
+        assert_eq!(sim.now(), cfg.min_lease_ns + 3_000);
+        assert_eq!(engine.borrow().stats().reclaimed_blocks, keys.len() as u64);
+        assert_eq!(engine.borrow().reclaim_pending(), 0);
+        assert!(srv.borrow().reclaim_armed.is_empty());
     }
 
     fn point(cost: SimTime) -> (LaneTask, SimTime) {

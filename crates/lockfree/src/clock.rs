@@ -4,9 +4,10 @@
 //! Three requirements shape the structure (Storm, Novakovic et al.: pointer
 //! caches only pay off when they stay bounded *and* hot):
 //!
-//! * **Bounded**: capacity is fixed at construction; the slot array never
-//!   grows. Under overload the CLOCK hand evicts, so memory is `O(capacity)`
-//!   no matter how many distinct keys stream past.
+//! * **Bounded**: capacity is fixed at construction; the slot array grows
+//!   on demand to at most capacity. Under overload the CLOCK hand evicts,
+//!   so memory is `O(min(distinct keys, capacity))` no matter how many
+//!   distinct keys stream past, and an idle cache costs only its sketch.
 //! * **Hot**: admission is gated by a [`FreqSketch`] — a newcomer only
 //!   displaces the CLOCK victim when its estimated access frequency exceeds
 //!   the victim's, so a scan of cold keys cannot flush the hot working set.
@@ -43,11 +44,11 @@ struct Slot<V> {
 }
 
 struct Inner<V> {
-    /// Fixed slot array; `None` entries are free.
+    /// Slot array, grown on demand up to capacity; `None` entries are free.
     slots: Vec<Option<Slot<V>>>,
     /// Key -> slot index.
     map: HashMap<Vec<u8>, usize>,
-    /// Free slot indices (pre-filled at construction).
+    /// Slot indices released by `remove`, reused before the array grows.
     free: Vec<usize>,
     /// CLOCK hand position.
     hand: usize,
@@ -82,13 +83,11 @@ impl<V: Clone> ClockCache<V> {
     /// Builds a cache holding at most `capacity` entries.
     pub fn new(capacity: usize) -> ClockCache<V> {
         let capacity = capacity.max(1);
-        let mut slots = Vec::with_capacity(capacity);
-        slots.resize_with(capacity, || None);
         ClockCache {
             inner: Mutex::new(Inner {
-                slots,
-                map: HashMap::with_capacity(capacity),
-                free: (0..capacity).rev().collect(),
+                slots: Vec::new(),
+                map: HashMap::new(),
+                free: Vec::new(),
                 hand: 0,
                 wheel: BTreeMap::new(),
             }),
@@ -162,8 +161,14 @@ impl<V: Clone> ClockCache<V> {
             }
             return true;
         }
+        // Released slots first, then the lowest never-used index: the order
+        // a stack pre-filled with `(0..capacity).rev()` yields, so placement
+        // and eviction do not depend on how far the array has grown.
         let idx = if let Some(idx) = inner.free.pop() {
             idx
+        } else if inner.slots.len() < self.capacity {
+            inner.slots.push(None);
+            inner.slots.len() - 1
         } else {
             // CLOCK sweep: clear reference bits until a victim surfaces,
             // then let the sketch arbitrate newcomer vs victim.
@@ -395,6 +400,101 @@ mod tests {
         let due = c.expiring(500 * MS, MS, 8);
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].0, b"r");
+    }
+
+    /// Live keys after `seeded_churn(20_000)`, captured from the eagerly
+    /// allocated cache.
+    const SURVIVORS: [&str; 64] = [
+        "sk003", "sk008", "sk013", "sk014", "sk017", "sk021", "sk022", "sk025", "sk026", "sk027",
+        "sk029", "sk030", "sk031", "sk033", "sk036", "sk037", "sk040", "sk041", "sk043", "sk044",
+        "sk045", "sk048", "sk049", "sk050", "sk051", "sk054", "sk055", "sk057", "sk061", "sk063",
+        "sk064", "sk069", "sk071", "sk073", "sk076", "sk077", "sk078", "sk083", "sk084", "sk085",
+        "sk086", "sk092", "sk096", "sk106", "sk109", "sk110", "sk117", "sk118", "sk120", "sk130",
+        "sk139", "sk143", "sk144", "sk147", "sk154", "sk160", "sk170", "sk178", "sk185", "sk193",
+        "sk195", "sk209", "sk213", "sk224",
+    ];
+    const SURVIVOR_VALUE_SUM: u64 = 1_265_168;
+    const SURVIVOR_STATS: ClockCacheStats = ClockCacheStats {
+        hits: 1_950,
+        misses: 3_996,
+        evictions: 1_273,
+        rejected: 4_683,
+    };
+
+    /// Runs a seeded insert/get/remove/`expiring` mix over 256 keys
+    /// (skewed towards the low ids) on a capacity-64 cache, far past full.
+    /// Returns the cache and the high-water mark of `len()`.
+    fn seeded_churn(steps: usize) -> (ClockCache<u64>, usize) {
+        let c: ClockCache<u64> = ClockCache::new(64);
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut high_water = 0;
+        for step in 0..steps as u64 {
+            let r = next();
+            // min of two draws skews towards low ids, giving a hot set.
+            let id = (r % 256).min((r >> 8) % 256);
+            let key = format!("sk{id:03}");
+            match (r >> 16) % 10 {
+                0..=4 => {
+                    c.insert(key.as_bytes(), step, (step + (r >> 24) % 512) * MS);
+                }
+                5..=7 => {
+                    c.get(key.as_bytes());
+                }
+                8 => {
+                    c.remove(key.as_bytes());
+                }
+                _ => {
+                    c.expiring(step * MS, 64 * MS, 8);
+                }
+            }
+            high_water = high_water.max(c.len());
+            let slots = c.inner.lock().unwrap().slots.len();
+            assert!(
+                slots <= high_water.min(c.capacity()),
+                "step {step}: {slots} slots for high water {high_water}"
+            );
+        }
+        (c, high_water)
+    }
+
+    /// Pins the outcome of a seeded churn to what the eagerly allocated
+    /// cache (a slot array pre-filled to capacity) produced: growing the
+    /// array on demand must not change placement, admission or eviction.
+    #[test]
+    fn seeded_churn_matches_eager_allocation() {
+        let (c, high_water) = seeded_churn(20_000);
+        assert_eq!(high_water, 64, "the sequence must fill the cache");
+        let mut live = Vec::new();
+        c.for_each(|k, v| live.push((String::from_utf8(k.to_vec()).unwrap(), *v)));
+        let mut keys: Vec<&str> = live.iter().map(|(k, _)| k.as_str()).collect();
+        keys.sort_unstable();
+        let sum: u64 = live.iter().map(|(_, v)| v).sum();
+        assert_eq!(keys, SURVIVORS);
+        assert_eq!(sum, SURVIVOR_VALUE_SUM);
+        assert_eq!(c.stats(), SURVIVOR_STATS);
+    }
+
+    #[test]
+    fn slot_array_grows_only_to_the_high_water_mark() {
+        let c: ClockCache<u64> = ClockCache::new(1 << 16);
+        assert_eq!(c.inner.lock().unwrap().slots.len(), 0);
+        for i in 0..10u64 {
+            c.insert(format!("g{i}").as_bytes(), i, 100 * MS);
+        }
+        for i in 0..5u64 {
+            c.remove(format!("g{i}").as_bytes());
+        }
+        // Released slots are reused before the array grows again.
+        for i in 10..15u64 {
+            c.insert(format!("g{i}").as_bytes(), i, 100 * MS);
+        }
+        assert_eq!(c.inner.lock().unwrap().slots.len(), 10);
     }
 
     #[test]

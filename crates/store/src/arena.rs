@@ -1,8 +1,11 @@
 //! Registered-memory arena.
 //!
 //! Real RDMA requires memory to be registered with the HCA up front, so the
-//! arena is a fixed-capacity slab of 8-byte `AtomicU64` words allocated at
-//! shard start. Allocation is a bump pointer plus segregated per-class free
+//! arena is a fixed-capacity slab of 8-byte `AtomicU64` words whose address
+//! range is reserved at shard start. The region is demand-paged: it is
+//! mapped as zero pages, and a page becomes resident only when a word on it
+//! is first written, so host memory follows the arena's high-water mark
+//! rather than its capacity. Allocation is a bump pointer plus segregated per-class free
 //! lists: requests are rounded up to a *size class* — exact for small blocks
 //! (≤ 16 words, covering the paper's 16 B/32 B YCSB items), geometric with
 //! eight steps per power of two above that (≤ 12.5 % internal padding) — so
@@ -75,12 +78,17 @@ pub struct Arena {
 }
 
 impl Arena {
-    /// Creates an arena with `capacity_words` zeroed words.
+    /// Creates an arena with `capacity_words` zeroed words. The words come
+    /// from a zeroed allocation, which the system allocator serves from
+    /// zero pages for large sizes: nothing is written, so untouched pages
+    /// cost no resident memory.
     pub fn new(capacity_words: usize) -> Self {
-        let mut v = Vec::with_capacity(capacity_words);
-        v.resize_with(capacity_words, || AtomicU64::new(0));
+        let words = Arc::<[AtomicU64]>::new_zeroed_slice(capacity_words);
+        // SAFETY: `AtomicU64` has the same in-memory representation as
+        // `u64`, so all-zero bits are a valid `AtomicU64::new(0)`.
+        let words = unsafe { words.assume_init() };
         Arena {
-            words: v.into(),
+            words,
             bump: 0,
             free: HashMap::new(),
             live_words: 0,

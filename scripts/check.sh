@@ -16,6 +16,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> benchmark crate unit tests (hydrabench/, its own package)"
+CARGO_TARGET_DIR=.bench_build cargo test -q --manifest-path hydrabench/Cargo.toml
+
 echo "==> packed-group + skiplist-tower layout static assertions (64 B size + alignment)"
 cargo test -q --release -p hydra-store layout_is_one_aligned_cache_line
 

@@ -70,6 +70,7 @@ fn hot_paths_do_not_allocate() {
     packed_probe_paths_are_zero_alloc_at_high_lf_and_mid_resize();
     hybrid_point_lookup_and_scan_paths_are_zero_alloc();
     clock_cache_lookup_is_zero_alloc();
+    clock_cache_replace_in_grown_cache_is_zero_alloc();
     server_get_alloc_count_is_constant();
     mux_tag_stamp_and_demux_add_no_allocations();
 }
@@ -237,6 +238,30 @@ fn clock_cache_lookup_is_zero_alloc() {
     });
     assert_eq!(hits, 3_000);
     assert_eq!(allocs, 0, "CLOCK cache hit path must not allocate");
+}
+
+/// Replacing an existing key in a cache whose slot array grew on demand
+/// writes the value into the slot in place: the grown array, the key map
+/// and the lease wheel (same expiry, no refiling) are all left alone.
+fn clock_cache_replace_in_grown_cache_is_zero_alloc() {
+    let c: ClockCache<u64> = ClockCache::new(1 << 16);
+    let keys: Vec<Vec<u8>> = (0..1_000)
+        .map(|i| format!("gk{i:04}").into_bytes())
+        .collect();
+    for (i, k) in keys.iter().enumerate() {
+        assert!(c.insert(k, i as u64, u64::MAX));
+    }
+    let mut replaced = 0usize;
+    let allocs = count_allocs_min(|| {
+        for round in 0..1_000usize {
+            if c.insert(&keys[(round * 7) % keys.len()], round as u64, u64::MAX) {
+                replaced += 1;
+            }
+        }
+    });
+    assert_eq!(replaced, 3_000);
+    assert_eq!(c.len(), keys.len());
+    assert_eq!(allocs, 0, "replacing a cached key must not allocate");
 }
 
 /// Borrowed request decode performs zero heap allocations for every opcode —
