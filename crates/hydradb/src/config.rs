@@ -54,19 +54,21 @@ impl ClientMode {
     }
 }
 
-/// Per-shard run-queue discipline for the single-threaded execution model.
+/// Lane assignment of a single-threaded shard's deficit-round-robin run
+/// queue (§12). Both kinds run the same scheduler; this only picks the lane
+/// a point op rides. Applies only under [`ExecModel::SingleThreaded`]; the
+/// decoupled ablation models keep their own dispatch paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// Arrival-order service: every request reserves shard-core time the
-    /// moment it lands (the pre-§12 behaviour). A point GET that arrives
+    /// One lane: every task (point ops, SCANs, batch quanta, migration
+    /// work) rides the throughput lane and is served in arrival order, with
+    /// no preemption (the pre-§12 behaviour). A point GET that arrives
     /// behind a full scan quantum waits out the whole quantum.
     Fifo,
-    /// Dual-lane deficit-round-robin: point ops (GET/PUT/DELETE) ride a
-    /// latency lane, SCANs and batch quanta ride a throughput lane, and
+    /// Two lanes: point ops (GET/PUT/DELETE/lease) ride a latency lane,
+    /// SCANs, batch quanta and migration work ride a throughput lane, and
     /// running scans yield the core at chunk boundaries whenever the
-    /// latency lane is non-empty (§12). Applies only under
-    /// [`ExecModel::SingleThreaded`]; the decoupled ablation models keep
-    /// their legacy dispatch paths.
+    /// latency lane is non-empty.
     DualLane,
 }
 
@@ -302,13 +304,6 @@ pub struct ClusterConfig {
     /// to yield at the next chunk boundary (~`scan_chunk_items ×
     /// scan_item_ns` away) instead of holding the core for the full quantum.
     pub scan_chunk_items: u32,
-    /// Deficit-round-robin quantum credited to the latency lane per
-    /// scheduling round (ns of shard-core time).
-    pub latency_lane_quantum_ns: SimTime,
-    /// Deficit-round-robin quantum credited to the throughput lane per
-    /// scheduling round. The lane bandwidth ratio under saturation is
-    /// `latency_lane_quantum_ns : throughput_lane_quantum_ns`.
-    pub throughput_lane_quantum_ns: SimTime,
     /// Client-side AIMD window controller (§12.4).
     pub aimd: AimdConfig,
     /// Virtual nodes per shard on the consistent-hash ring.
@@ -400,11 +395,6 @@ impl Default for ClusterConfig {
             scan_quantum_ns: 25_000,
             scheduler: SchedulerKind::DualLane,
             scan_chunk_items: 64,
-            // Equal lane quanta: a saturated shard splits core time evenly
-            // between point ops and scan/batch quanta; either lane may use
-            // the full core when the other is idle (DRR is work-conserving).
-            latency_lane_quantum_ns: 4_000,
-            throughput_lane_quantum_ns: 4_000,
             aimd: AimdConfig::default(),
             vnodes: 64,
             min_lease_ns: 1_000_000_000,

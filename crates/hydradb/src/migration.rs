@@ -14,8 +14,9 @@
 //!   ([`ClusterConfig::migration_quantum_items`] items per
 //!   [`ClusterConfig::migration_tick_ns`]), streaming every key-value whose
 //!   hash routes elsewhere under the *target* ring to its new owner over a
-//!   dedicated RDMA channel. Quanta ride the throughput lane of the dual-lane
-//!   scheduler, so point-op tail latency stays isolated. Writes landing
+//!   dedicated RDMA channel. Quanta ride the throughput lane of the shard's
+//!   run queue, so under the dual-lane scheduler point-op tail latency stays
+//!   isolated. Writes landing
 //!   during the walk are recorded in a dirty set, not copied twice.
 //! * **CatchUp** — the dirty set is flushed in the same bounded quanta; once
 //!   it fits in one quantum the source atomically enters DoubleWrite and

@@ -8,7 +8,8 @@
 //!
 //! Under the simulator the "polling loop" is event-driven but cost-faithful:
 //! request pickup pays the sweep/sleep detection latency, every operation
-//! occupies the shard's core (a [`FifoResource`]), and the optional
+//! queues on the shard's deficit-round-robin run queue and occupies its core
+//! (a [`FifoResource`]) one task at a time, and the optional
 //! *pipelined* execution model (§6.2.1 ablation) routes requests through a
 //! dispatcher resource plus worker resources with per-request hand-off and
 //! synchronization costs — reproducing why decoupling I/O from computation
@@ -111,8 +112,8 @@ pub struct ServerStats {
     /// side of the tail-latency story: queueing plus execution, before the
     /// response travels back.
     pub service_time_hist_by_op: [[u64; HIST_BUCKETS]; OP_KINDS],
-    /// Scan chunk grains executed by the dual-lane scheduler (a never-yielded
-    /// scan counts its whole dispatch as chunks too).
+    /// Scan chunk grains executed by the run queue (a never-yielded scan
+    /// counts its whole dispatch as chunks too).
     pub scan_chunks: u64,
     /// Times a running scan was forced to yield at a chunk boundary because
     /// the latency lane went non-empty.
@@ -244,10 +245,16 @@ impl ReadPlane {
 }
 
 /// Index of the latency lane (GET / PUT / DELETE / lease traffic) in the
-/// dual-lane scheduler.
+/// run queue; used only under [`SchedulerKind::DualLane`].
 const LAT: usize = 0;
-/// Index of the throughput lane (scans and batch quanta).
+/// Index of the throughput lane (scans, batch quanta and migration work;
+/// under [`SchedulerKind::Fifo`], every task).
 const THR: usize = 1;
+/// Deficit-round-robin credit each lane earns per visit (ns of shard-core
+/// time). Equal quanta: a saturated shard splits core time evenly between
+/// the lanes; either lane may use the full core when the other is idle
+/// (DRR is work-conserving).
+const LANE_QUANTUM_NS: SimTime = 4_000;
 
 /// In-engine state of a scan executing in preemptible chunks: the response
 /// accumulates across chunk executions and the cursor tracks the next key,
@@ -298,8 +305,8 @@ enum LaneTask {
     Mig(MigWork),
 }
 
-/// The task currently occupying the shard core under the dual-lane
-/// scheduler (at most one at a time; lanes queue behind it).
+/// The task currently occupying the shard core (at most one at a time;
+/// lanes queue behind it).
 struct Running {
     /// Completion (or, once preempted, yield-boundary) event.
     ev: EventId,
@@ -316,15 +323,18 @@ struct Running {
     task: LaneTask,
 }
 
-/// Deficit-round-robin dual-lane run queue (§ tail-latency isolation): the
-/// latency lane holds point ops, the throughput lane scans and batch
-/// quanta. Each lane earns `quantum` ns of credit per visit and serves its
-/// FIFO head while the credit lasts, so point ops are isolated from
-/// scan/batch head-of-line blocking while the throughput lane keeps a
-/// configurable bandwidth share. Tasks are dispatched one at a time onto
-/// the shard core; queued tasks live here, not in the core's reservation
-/// queue, which is what makes scan preemption (releasing the core's
-/// reserved tail) possible.
+/// Deficit-round-robin dual-lane run queue (§ tail-latency isolation), the
+/// one dispatch path of a single-threaded shard. Under
+/// [`SchedulerKind::DualLane`] the latency lane holds point ops and the
+/// throughput lane scans, batch quanta and migration work; under
+/// [`SchedulerKind::Fifo`] every task rides the throughput lane, which then
+/// serves in arrival order and never preempts. Each lane earns
+/// [`LANE_QUANTUM_NS`] of credit per visit and serves its FIFO head while
+/// the credit lasts, so point ops are isolated from scan/batch head-of-line
+/// blocking while the throughput lane keeps an equal bandwidth share. Tasks
+/// are dispatched one at a time onto the shard core; queued tasks live
+/// here, not in the core's reservation queue, which is what makes scan
+/// preemption (releasing the core's reserved tail) possible.
 #[derive(Default)]
 struct DualLaneSched {
     lanes: [VecDeque<(LaneTask, SimTime)>; 2],
@@ -368,10 +378,10 @@ impl DualLaneSched {
     }
 
     /// DRR pick: serves the current lane's FIFO head while its deficit
-    /// lasts, crediting `quantum[lane]` and rotating otherwise. Deficits
+    /// lasts, crediting [`LANE_QUANTUM_NS`] and rotating otherwise. Deficits
     /// reset when the queue fully drains, so an idle period never banks
     /// credit.
-    fn next(&mut self, quantum: [SimTime; 2]) -> Option<(LaneTask, SimTime)> {
+    fn next(&mut self) -> Option<(LaneTask, SimTime)> {
         if self.lanes[LAT].is_empty() && self.lanes[THR].is_empty() {
             self.deficit = [0; 2];
             return None;
@@ -390,7 +400,7 @@ impl DualLaneSched {
                     return Some((task, cost));
                 }
                 Some(_) => {
-                    self.deficit[lane] += quantum[lane].max(1);
+                    self.deficit[lane] += LANE_QUANTUM_NS;
                     self.current ^= 1;
                 }
             }
@@ -773,8 +783,9 @@ pub struct ShardServer {
     resp_batch: BatchBuilder,
     /// Heat tracking + replica pointer export (read spreading).
     plane: ReadPlane,
-    /// Dual-lane DRR run queue (used when `cfg.scheduler` is `DualLane`
-    /// under the single-threaded execution model; empty otherwise).
+    /// DRR run queue: every arrival under the single-threaded execution
+    /// model, whatever `cfg.scheduler` (which only picks the lanes); empty
+    /// under the decoupled ablations.
     sched: DualLaneSched,
     /// Live-migration bookkeeping while this shard participates in a plan
     /// (source or destination); provides the ownership gate and the
@@ -973,11 +984,13 @@ impl ShardServer {
             Self::on_batch_payload(this, sim, conn_idx, payload);
             return;
         }
-        if this.borrow().dual_lane() {
-            Self::on_single_dual(this, sim, conn_idx, payload);
+        if this.borrow().single_threaded() {
+            Self::on_single(this, sim, conn_idx, payload);
             return;
         }
-        let (done_at, arrived, exec_at) = {
+        // The decoupled execution ablations (§6.2.1): a dispatcher resource
+        // hands requests to worker (or sub-shard) resources.
+        let (done_at, arrived) = {
             let mut s = this.borrow_mut();
             if !s.alive {
                 s.stats.dropped_while_dead += 1;
@@ -1004,7 +1017,7 @@ impl ShardServer {
                 arrival += sweep + sleep;
             }
             let done_at = match s.cfg.exec_model {
-                ExecModel::SingleThreaded => s.cpu.acquire(arrival, cost),
+                ExecModel::SingleThreaded => unreachable!("served by the run queue"),
                 ExecModel::Pipelined { .. } => {
                     let costs = &s.cfg.costs;
                     let mutation = cost.saturating_sub(costs.get_ns + costs.poll_ns);
@@ -1041,60 +1054,46 @@ impl ShardServer {
                     s.workers[sub].acquire(routed, cost)
                 }
             };
-            // Group-commit writes execute at their core slot's *start* so
-            // the replication ship overlaps the modeled merge; the response
-            // stays gated on `done_at`.
-            let exec_at =
-                if matches!(s.cfg.exec_model, ExecModel::SingleThreaded) && s.overlap_exec(&req) {
-                    done_at.saturating_sub(cost)
-                } else {
-                    done_at
-                };
-            (done_at, now, exec_at)
+            (done_at, now)
         };
         let this2 = this.clone();
-        sim.schedule_at(exec_at, move |sim| {
+        sim.schedule_at(done_at, move |sim| {
             Self::execute(&this2, sim, conn_idx, payload, arrived, done_at);
         });
     }
 
-    /// Whether this write's execution can start at its core slot's *start*
-    /// with the response gated on the slot's end: under group commit the
-    /// replication WQE is posted as the local merge begins, so the record's
-    /// flight and the cumulative ack overlap the modeled merge time instead
-    /// of queueing behind it. Same-shard requests still serialize on the
-    /// core FIFO — no other execution lands inside the slot — and the
-    /// write's linearization point stays within its invocation-response
-    /// window, so the early mutation is observationally equivalent.
-    fn overlap_exec(&self, req: &Request) -> bool {
+    /// Whether this singleton payload is a write whose execution can start
+    /// at its core slot's *start* with the response gated on the slot's
+    /// end: under group commit the replication WQE is posted as the local
+    /// merge begins, so the record's flight and the cumulative ack overlap
+    /// the modeled merge time instead of queueing behind it. Same-shard
+    /// requests still serialize on the core — no other execution lands
+    /// inside the slot — and the write's linearization point stays within
+    /// its invocation-response window, so the early mutation is
+    /// observationally equivalent.
+    fn overlap_exec(&self, payload: &[u8]) -> bool {
         matches!(self.cfg.replication, ReplicationMode::GroupCommit)
             && !self.repl.is_empty()
             && matches!(
-                req,
-                Request::Insert { .. } | Request::Update { .. } | Request::Delete { .. }
+                Request::decode(payload),
+                Some(Request::Insert { .. } | Request::Update { .. } | Request::Delete { .. })
             )
     }
 
-    /// [`Self::overlap_exec`] for an undecoded singleton payload.
-    fn overlap_exec_payload(&self, payload: &[u8]) -> bool {
-        Request::decode(payload)
-            .map(|req| self.overlap_exec(&req))
-            .unwrap_or(false)
-    }
-
-    /// Whether this shard runs the dual-lane DRR scheduler (single-threaded
-    /// execution model only; the §6.2.1 decoupled ablations keep their own
-    /// dispatch paths).
-    fn dual_lane(&self) -> bool {
+    /// Whether this shard serves every arrival through its DRR run queue
+    /// (the single-threaded execution model; the §6.2.1 decoupled ablations
+    /// keep their own dispatch paths).
+    fn single_threaded(&self) -> bool {
         matches!(self.cfg.exec_model, ExecModel::SingleThreaded)
-            && matches!(self.cfg.scheduler, SchedulerKind::DualLane)
     }
 
-    /// Dual-lane arrival path for singleton requests: classify into a lane
-    /// (scans → throughput, everything else → latency), account arrival
-    /// stats, and kick the scheduler. A latency-lane arrival preempts a
-    /// running scan at its next chunk boundary.
-    fn on_single_dual(
+    /// Run-queue arrival path for singleton requests: classify into a lane,
+    /// account arrival stats, and kick the scheduler. Scans ride the
+    /// throughput lane; point ops ride the latency lane under
+    /// [`SchedulerKind::DualLane`] (preempting a running scan at its next
+    /// chunk boundary) and the throughput lane under [`SchedulerKind::Fifo`],
+    /// whose one lane serves everything in arrival order.
+    fn on_single(
         this: &Rc<RefCell<ShardServer>>,
         sim: &mut Sim,
         conn_idx: usize,
@@ -1148,20 +1147,24 @@ impl ShardServer {
                         payload,
                         arrived: now,
                     };
-                    (LAT, task, cost)
+                    let lane = match s.cfg.scheduler {
+                        SchedulerKind::DualLane => LAT,
+                        SchedulerKind::Fifo => THR,
+                    };
+                    (lane, task, cost)
                 }
             }
         };
-        Self::dual_enqueue(this, sim, lane, task, cost);
+        Self::enqueue(this, sim, lane, task, cost);
     }
 
     /// Queues a task on `lane` and kicks the scheduler: a fully idle shard
-    /// pays the detection latency (sweep position + sleep backoff, exactly
-    /// as the FIFO path) via an armed pump; a busy shard just queues — the
-    /// completion event re-pumps for free, matching the FIFO model where
-    /// the loop re-polls right after finishing. Latency-lane arrivals
-    /// additionally force a running scan to its next chunk boundary.
-    fn dual_enqueue(
+    /// pays the detection latency (sweep position + sleep backoff) via an
+    /// armed pump; a busy shard just queues — the completion event re-pumps
+    /// for free, as the polling loop re-polls right after finishing.
+    /// Latency-lane arrivals additionally force a running scan to its next
+    /// chunk boundary.
+    fn enqueue(
         this: &Rc<RefCell<ShardServer>>,
         sim: &mut Sim,
         lane: usize,
@@ -1249,11 +1252,7 @@ impl ShardServer {
             s.stats.dropped_while_dead += dropped;
             return;
         }
-        let quantum = [
-            s.cfg.latency_lane_quantum_ns,
-            s.cfg.throughput_lane_quantum_ns,
-        ];
-        let Some((task, cost)) = s.sched.next(quantum) else {
+        let Some((task, cost)) = s.sched.next() else {
             return;
         };
         let now = sim.now();
@@ -1278,7 +1277,7 @@ impl ShardServer {
                 conn_idx,
                 payload,
                 arrived,
-            } if s.overlap_exec_payload(&payload) => {
+            } if s.overlap_exec(&payload) => {
                 (LaneTask::Executed, Some((conn_idx, payload, arrived)))
             }
             t => (t, None),
@@ -1298,8 +1297,9 @@ impl ShardServer {
     }
 
     /// A dispatched task ran to completion: execute it (decode + engine +
-    /// replication + response, identical kernels to the FIFO path) and pump
-    /// the next pick.
+    /// replication + response, through the same [`apply_request`] /
+    /// [`run_batch`] kernels the decoupled ablations use) and pump the next
+    /// pick.
     fn on_task_complete(this: &Rc<RefCell<ShardServer>>, sim: &mut Sim) {
         let r = this.borrow_mut().sched.running.take();
         let Some(r) = r else { return };
@@ -1322,10 +1322,11 @@ impl ShardServer {
         Self::pump(this, sim);
     }
 
-    /// Charges `cost` of shard-core time, then runs `work`. Under the
-    /// dual-lane scheduler the charge rides the throughput lane (so
-    /// migration quanta share bandwidth with scans/batches and point-op
-    /// tails stay isolated); otherwise it queues on the core directly.
+    /// Charges `cost` of shard-core time, then runs `work`. On a
+    /// single-threaded shard the charge rides the run queue's throughput
+    /// lane, so migration quanta share bandwidth with scans and batches (and
+    /// under [`SchedulerKind::DualLane`] point-op tails stay isolated); the
+    /// decoupled ablations queue it on the dispatcher core directly.
     /// Dropped silently if the shard is (or goes) dead — the migration
     /// engine's stall guard turns the missing progress into an abort.
     pub(crate) fn run_on_core(
@@ -1337,8 +1338,8 @@ impl ShardServer {
         if !this.borrow().alive {
             return;
         }
-        if this.borrow().dual_lane() {
-            Self::dual_enqueue(this, sim, THR, LaneTask::Mig(work), cost);
+        if this.borrow().single_threaded() {
+            Self::enqueue(this, sim, THR, LaneTask::Mig(work), cost);
             return;
         }
         let done = {
@@ -1475,8 +1476,9 @@ impl ShardServer {
 
     /// A scan dispatch ran to its (un-preempted) end: serve the remaining
     /// allowance, probe one item past it for the `more` flag — the same
-    /// callback contract as the FIFO path's [`apply_request`], so the wire
-    /// frame is byte-identical over a quiescent engine — and respond.
+    /// callback contract as a scan inside a batch ([`apply_request`]), so
+    /// the wire frame is byte-identical over a quiescent engine — and
+    /// respond.
     fn finish_scan_dispatch(this: &Rc<RefCell<ShardServer>>, sim: &mut Sim, mut task: ScanTask) {
         let (conn_idx, resp) = {
             let mut s = this.borrow_mut();
@@ -1493,7 +1495,7 @@ impl ShardServer {
         Self::send_response(this, sim, conn_idx, resp);
     }
 
-    /// Executes one dual-lane scan quantum: packs up to `allowance` items
+    /// Executes one run-queue scan quantum: packs up to `allowance` items
     /// from `task`'s cursor into its response buffer (skipping keys the
     /// live ring no longer assigns here), advances `served`/`remaining` and
     /// counts the chunks covered. A `yielding` quantum that did not drain
@@ -1557,10 +1559,10 @@ impl ShardServer {
         Some(resp)
     }
 
-    /// A batch frame landed: charge the whole quantum against the shard
-    /// core in one [`FifoResource::acquire_batch`] — one sweep step and one
-    /// response WQE for the frame, per-request marginal cost back-to-back —
-    /// then execute it as a unit.
+    /// A batch frame landed: price the whole quantum — one sweep step and
+    /// one response WQE for the frame, per-request marginal cost
+    /// back-to-back — and queue it on the throughput lane as one task (one
+    /// frame, one dispatch: batches never preempt and are never preempted).
     fn on_batch_payload(
         this: &Rc<RefCell<ShardServer>>,
         sim: &mut Sim,
@@ -1569,8 +1571,7 @@ impl ShardServer {
     ) {
         // The decoupled execution ablations (§6.2.1) have no quantum
         // scheduling path: unpack and run each request individually.
-        let single_threaded = matches!(this.borrow().cfg.exec_model, ExecModel::SingleThreaded);
-        if !single_threaded {
+        if !this.borrow().single_threaded() {
             let msgs: Vec<Vec<u8>> = BatchFrame::parse(&payload)
                 .expect("validated batch frame")
                 .iter()
@@ -1581,46 +1582,7 @@ impl ShardServer {
             }
             return;
         }
-        let dual = this.borrow().dual_lane();
-        if dual {
-            // Dual-lane: a batch quantum rides the throughput lane whole
-            // (one frame, one dispatch — batches never preempt and are
-            // never preempted).
-            let cost = {
-                let mut s = this.borrow_mut();
-                if !s.alive {
-                    s.stats.dropped_while_dead += 1;
-                    return;
-                }
-                let frame = BatchFrame::parse(&payload).expect("validated batch frame");
-                let send_recv = s.conns[conn_idx].send_recv;
-                let backlog = s.cpu.free_at().saturating_sub(sim.now()) + s.sched.queued_total();
-                let mut total: SimTime = 0;
-                let mut n: u64 = 0;
-                for msg in frame.iter() {
-                    let req = Request::decode(msg).expect("well-formed request");
-                    let cost = s.batch_item_cost(&req, send_recv);
-                    s.stats.queue_depth_hist_by_op[op_slot(&req)]
-                        [log2_bucket(backlog / cost.max(1))] += 1;
-                    total += cost;
-                    n += 1;
-                }
-                s.stats.requests += n;
-                s.stats.batches += 1;
-                s.stats.batched_requests += n;
-                let mean_cost = (total / n.max(1)).max(1);
-                s.stats.queue_depth_hist[log2_bucket(backlog / mean_cost)] += 1;
-                s.cfg.costs.poll_ns + s.cfg.costs.post_wqe_ns + total
-            };
-            let task = LaneTask::Batch {
-                conn_idx,
-                payload,
-                arrived: sim.now(),
-            };
-            Self::dual_enqueue(this, sim, THR, task, cost);
-            return;
-        }
-        let (done_at, arrived) = {
+        let cost = {
             let mut s = this.borrow_mut();
             if !s.alive {
                 s.stats.dropped_while_dead += 1;
@@ -1628,37 +1590,32 @@ impl ShardServer {
             }
             let frame = BatchFrame::parse(&payload).expect("validated batch frame");
             let send_recv = s.conns[conn_idx].send_recv;
-            let backlog = s.cpu.free_at().saturating_sub(sim.now());
-            let mut per_item = Vec::with_capacity(frame.len());
+            let backlog = s.cpu.free_at().saturating_sub(sim.now()) + s.sched.queued_total();
+            let mut total: SimTime = 0;
+            let mut n: u64 = 0;
             for msg in frame.iter() {
                 let req = Request::decode(msg).expect("well-formed request");
                 let cost = s.batch_item_cost(&req, send_recv);
                 // Per-op depth samples are per request even on this path.
                 s.stats.queue_depth_hist_by_op[op_slot(&req)]
                     [log2_bucket(backlog / cost.max(1))] += 1;
-                per_item.push(cost);
+                total += cost;
+                n += 1;
             }
-            s.stats.requests += per_item.len() as u64;
+            s.stats.requests += n;
             s.stats.batches += 1;
-            s.stats.batched_requests += per_item.len() as u64;
+            s.stats.batched_requests += n;
             // One depth sample per frame, against the mean per-item cost.
-            let mean_cost =
-                (per_item.iter().sum::<SimTime>() / per_item.len().max(1) as u64).max(1);
+            let mean_cost = (total / n.max(1)).max(1);
             s.stats.queue_depth_hist[log2_bucket(backlog / mean_cost)] += 1;
-            let fixed = s.cfg.costs.poll_ns + s.cfg.costs.post_wqe_ns;
-            let now = sim.now();
-            let mut arrival = now;
-            if s.cpu.idle_at(now) {
-                let sweep = s.cfg.costs.poll_ns * (s.conns.len() as u64 / 2);
-                let sleep = s.cfg.sleep_backoff_ns.unwrap_or(0) / 2;
-                arrival += sweep + sleep;
-            }
-            (s.cpu.acquire_batch(arrival, fixed, &per_item), now)
+            s.cfg.costs.poll_ns + s.cfg.costs.post_wqe_ns + total
         };
-        let this2 = this.clone();
-        sim.schedule_at(done_at, move |sim| {
-            Self::execute_batch(&this2, sim, conn_idx, payload, arrived);
-        });
+        let task = LaneTask::Batch {
+            conn_idx,
+            payload,
+            arrived: sim.now(),
+        };
+        Self::enqueue(this, sim, THR, task, cost);
     }
 
     /// Runs the engine operation and emits the response (after replication,
@@ -2172,7 +2129,7 @@ mod tests {
         }
         assert_eq!(s.queued_total(), 2 * 8_000 + 8 * 500);
         let mut order = Vec::new();
-        while let Some((t, c)) = s.next([4_000, 4_000]) {
+        while let Some((t, c)) = s.next() {
             order.push((matches!(t, LaneTask::Point { .. }), c));
         }
         assert_eq!(order.len(), 10);
@@ -2184,7 +2141,7 @@ mod tests {
         assert_eq!(s.queued_total(), 0);
         // Draining resets the deficits: no credit is banked across idle.
         assert_eq!(s.deficit, [0; 2]);
-        assert!(s.next([4_000, 4_000]).is_none());
+        assert!(s.next().is_none());
     }
 
     /// With sustained load on both lanes, equal quanta split the core's
@@ -2204,7 +2161,7 @@ mod tests {
         let mut lat_ns = 0u64;
         let mut thr_ns = 0u64;
         while lat_ns + thr_ns < 32_000 {
-            let (t, c) = s.next([4_000, 4_000]).expect("backlogged");
+            let (t, c) = s.next().expect("backlogged");
             match t {
                 LaneTask::Point { .. } => lat_ns += c,
                 _ => thr_ns += c,
@@ -2233,7 +2190,7 @@ mod tests {
                 100,
             );
         }
-        let (t, _) = s.next([4_000, 4_000]).unwrap();
+        let (t, _) = s.next().unwrap();
         assert!(matches!(t, LaneTask::Point { conn_idx: 0, .. }));
         s.push_front(
             LAT,
@@ -2244,7 +2201,7 @@ mod tests {
             },
             100,
         );
-        let picks: Vec<usize> = std::iter::from_fn(|| s.next([4_000, 4_000]))
+        let picks: Vec<usize> = std::iter::from_fn(|| s.next())
             .map(|(t, _)| match t {
                 LaneTask::Point { conn_idx, .. } => conn_idx,
                 _ => unreachable!(),

@@ -57,6 +57,16 @@ HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
 HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
     cargo run -q --release -p hydra-bench --bin perf_conn
 
+echo "==> committed smoke tables regenerate byte-identical"
+# These five tables are committed at smoke scale, are deterministic and carry
+# no host-clock column, so any drift from results/ is a behaviour change
+# that must be re-committed with its cause.
+for table in abl_lease abl_share abl_sleep abl_subshard fig12_scalability; do
+    HYDRA_SCALE=smoke HYDRA_RESULTS_DIR="$SMOKE_RESULTS" \
+        cargo run -q --release -p hydra-bench --bin "$table" > /dev/null
+    cmp "$SMOKE_RESULTS/$table.txt" "results/$table.txt"
+done
+
 echo "==> chaos soak (100 fixed-seed fault plans, full consistency checks)"
 cargo test -q --release -p hydra-integration --test chaos -- --ignored
 

@@ -108,9 +108,9 @@ fn chaos_lane_round(seed: u64) {
     });
 }
 
-/// The legacy FIFO run queue under the same adversary: now that DualLane is
-/// the default, this keeps the non-default scheduler exercised against
-/// faults.
+/// The run queue's one-lane `Fifo` configuration under the same adversary:
+/// now that DualLane is the default, this keeps the non-default lane
+/// assignment exercised against faults.
 fn chaos_fifo_round(seed: u64) {
     chaos_round_cfg(seed, false, true, |cfg| {
         cfg.scheduler = SchedulerKind::Fifo;
@@ -303,7 +303,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// The non-default FIFO scheduler against the same adversary, so the
-    /// legacy run-queue path keeps its fault coverage.
+    /// one-lane configuration keeps its fault coverage.
     #[test]
     fn random_fault_plans_with_fifo_scheduler(seed in 0u64..10_000) {
         chaos_fifo_round(seed);

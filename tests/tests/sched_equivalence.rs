@@ -9,7 +9,12 @@
 //!    identical per-op results *and* identical virtual completion times, for
 //!    arbitrary op mixes including scans long enough to truncate at the scan
 //!    quantum and continue via the `more` cursor.
-//! 2. **Preemption transparency** — when a point client races a scan client
+//! 2. **Concurrent point parity** — several closed-loop clients racing on
+//!    one shard with point ops only (GET/INSERT/UPDATE/DELETE and lease
+//!    renewals): Fifo serves every task on one lane, DualLane every task on
+//!    the latency lane, and no scan exists to preempt, so both runs are
+//!    tick-identical — same results, same completion instants.
+//! 3. **Preemption transparency** — when a point client races a scan client
 //!    over a read-only keyspace, DualLane preempts running scans at chunk
 //!    boundaries, yet every scan payload and every GET value is byte-equal
 //!    to the Fifo run, and the preemption visibly shortens the worst point
@@ -19,7 +24,9 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use hydra_db::client::{OpCb, OpError};
-use hydra_db::{Cluster, ClusterBuilder, ClusterConfig, HydraClient, IndexKind, SchedulerKind};
+use hydra_db::{
+    Cluster, ClusterBuilder, ClusterConfig, HydraClient, IndexKind, ReplicationMode, SchedulerKind,
+};
 use hydra_sim::SimTime;
 use proptest::prelude::*;
 
@@ -150,6 +157,115 @@ proptest! {
         let dual = run_sequential(SchedulerKind::DualLane, &ops);
         prop_assert_eq!(fifo, dual);
     }
+}
+
+/// Concurrent pure-point traffic on one contended shard: `CLIENTS`
+/// closed-loop clients each issue `OPS_PER_CLIENT` seeded point ops
+/// (GET/INSERT/UPDATE/DELETE, plus lease-renewal batches for the pointers
+/// their GETs cached) against a shared 24-key space, and every write
+/// replicates strictly to one secondary. Arrivals routinely land on a busy
+/// core, and responses share the server NIC with replication traffic, so
+/// same-nanosecond events are common; both schedulers run the same
+/// one-task-at-a-time dispatch, so every `(client, time, result)` entry
+/// must match. A renewal has no completion callback, so its client polls
+/// every `RENEW_POLL_NS` until idle and records that instant.
+#[test]
+fn concurrent_point_clients_are_tick_identical() {
+    const CLIENTS: usize = 8;
+    const OPS_PER_CLIENT: usize = 150;
+    const RENEW_POLL_NS: SimTime = 250;
+    const SEC: SimTime = 1_000_000_000;
+
+    type ClientTrace = Rc<RefCell<Vec<(usize, SimTime, String)>>>;
+
+    /// splitmix64: a self-contained seeded stream, so the op mix is the
+    /// same for both runs without sharing an RNG object.
+    fn mix(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn step(sim: &mut hydra_sim::Sim, client: HydraClient, c: usize, i: usize, trace: ClientTrace) {
+        if i >= OPS_PER_CLIENT {
+            return;
+        }
+        let r = mix(((c as u64) << 32) | i as u64);
+        let k = (r % 24) as u8;
+        let v = (r >> 8) as u8;
+        if (r >> 16) % 8 == 7 {
+            if client.renew_expiring_leases(sim, 10 * SEC) {
+                wait_idle(sim, client, c, i, trace);
+            } else {
+                trace.borrow_mut().push((c, sim.now(), "renew:none".into()));
+                step(sim, client, c, i + 1, trace);
+            }
+            return;
+        }
+        let c2 = client.clone();
+        let t2 = trace.clone();
+        let cont: OpCb = Box::new(move |sim, res| {
+            t2.borrow_mut().push((c, sim.now(), render(&res)));
+            step(sim, c2, c, i + 1, trace);
+        });
+        match (r >> 16) % 8 {
+            0..=2 => client.get(sim, &key_of(k), cont),
+            3 => client.insert(sim, &key_of(k), &value_of(k, v), cont),
+            4 | 5 => client.update(sim, &key_of(k), &value_of(k, v), cont),
+            _ => client.delete(sim, &key_of(k), cont),
+        }
+    }
+
+    fn wait_idle(
+        sim: &mut hydra_sim::Sim,
+        client: HydraClient,
+        c: usize,
+        i: usize,
+        trace: ClientTrace,
+    ) {
+        sim.schedule_in(RENEW_POLL_NS, move |sim| {
+            if client.is_busy() {
+                wait_idle(sim, client, c, i, trace);
+            } else {
+                trace.borrow_mut().push((c, sim.now(), "renewed".into()));
+                step(sim, client, c, i + 1, trace);
+            }
+        });
+    }
+
+    fn run(scheduler: SchedulerKind) -> (Vec<(usize, SimTime, String)>, u64) {
+        let mut cluster = cluster_with(scheduler, |cfg| {
+            cfg.server_nodes = 2;
+            cfg.partitions = Some(1);
+            cfg.replicas = 2;
+            cfg.replication = ReplicationMode::Strict;
+        });
+        let clients: Vec<HydraClient> = (0..CLIENTS).map(|_| cluster.add_client(0)).collect();
+        for k in 0..12u8 {
+            hydra_integration::put_ok(&mut cluster, &clients[0], &key_of(k), &value_of(k, 0));
+        }
+        let trace: ClientTrace = Rc::new(RefCell::new(Vec::new()));
+        for (c, client) in clients.iter().enumerate() {
+            step(&mut cluster.sim, client.clone(), c, 0, trace.clone());
+        }
+        cluster.sim.run();
+        let stats = cluster.shard(0).primary.borrow().stats();
+        // Arrivals that queued behind at least one request's worth of work.
+        let contended = stats.queue_depth_hist[1..].iter().sum::<u64>();
+        (Rc::try_unwrap(trace).unwrap().into_inner(), contended)
+    }
+
+    let (fifo, fifo_contended) = run(SchedulerKind::Fifo);
+    let (dual, dual_contended) = run(SchedulerKind::DualLane);
+    assert_eq!(fifo.len(), CLIENTS * OPS_PER_CLIENT, "every op completed");
+    assert!(
+        fifo.iter().any(|(_, _, r)| r == "renewed"),
+        "some lease-renewal batch was sent"
+    );
+    assert!(fifo_contended > 0, "the shard core was actually contended");
+    assert_eq!(fifo, dual);
+    assert_eq!(fifo_contended, dual_contended);
 }
 
 /// Concurrent point + scan clients over a *read-only* keyspace: execution
